@@ -1,16 +1,19 @@
-//! Mapper scaling experiment: sweep Q∈{4..64} × D∈{2..16} cost matrices
-//! through greedy, greedy+local-search, and the adaptive budgeted exact
-//! mapper; report decision cost (nodes, host wall time) and solution
+//! Mapper scaling experiment: sweep Q∈{4..64} × D∈{2..16} cost matrices,
+//! plus templated pools (k∈{2,3,4} distinct rows at Q∈{16,32,64} ×
+//! D∈{3,4}), through greedy, greedy+local-search, and the adaptive budgeted
+//! exact mapper; report decision cost (nodes, host wall time) and solution
 //! quality, and enforce the scaling claims (adaptive ≤ greedy everywhere,
-//! adaptive == enumerated optimum where enumeration is feasible, bounded
-//! per-decision wall time at Q=64, D=16 where exact search is infeasible).
+//! adaptive == enumerated optimum and no budget trip where enumeration is
+//! feasible, bounded per-decision wall time at Q=64, D=16 where exact
+//! search is infeasible).
 //!
 //! Writes `results/mapper_scaling.csv`.
 //!
 //! Usage: `cargo run --release -p multicl-bench --bin mapper_scaling
 //!         [--smoke] [SEED]`
 //!
-//! `--smoke` runs the reduced CI grid (Q≤16, D≤4).
+//! `--smoke` runs the reduced CI grid (Q≤16, D≤4) plus one templated point
+//! (Q=32, D=4, k=2).
 
 use multicl_bench::experiments::mapper_scaling;
 use multicl_bench::{print_table, write_report};

@@ -7,7 +7,9 @@
 //! where the space is 16^64 ≈ 10^77 and exhaustive search is physically
 //! infeasible. This experiment sweeps Q∈{4..64} × D∈{2..16} over seeded
 //! pseudo-random cost matrices (with twin-device symmetric columns, like
-//! the paper node's twin GPUs) and measures, per point:
+//! the paper node's twin GPUs), plus a *templated* arm where every row is a
+//! copy of one of k ∈ {2,3,4} template rows (a serving pool built from a few
+//! job kinds) at Q∈{16,32,64} × D∈{3,4}, and measures, per point:
 //!
 //! * greedy (LPT) makespan — the quality floor,
 //! * greedy + local search makespan — the adaptive mapper's fallback,
@@ -16,7 +18,9 @@
 //!
 //! [`verify`] asserts the tentpole claims: adaptive is never worse than
 //! greedy anywhere, matches the enumerated optimum wherever enumeration is
-//! feasible, and stays within a per-decision wall-clock budget even at
+//! feasible (counting identical rows once per device-count vector, so the
+//! smaller templated pools are checked too — and must not trip the node
+//! budget there), and stays within a per-decision wall-clock budget even at
 //! Q=64, D=16.
 
 use crate::harness::Table;
@@ -32,6 +36,9 @@ pub struct ScalingPoint {
     pub queues: usize,
     /// Devices in the node.
     pub devices: usize,
+    /// Template rows the pool is built from; `None` when every row is drawn
+    /// independently.
+    pub kinds: Option<usize>,
     /// `D^Q` if it fits in `u128` — the exhaustive-search space size.
     pub space: Option<u128>,
     /// Plain LPT-greedy makespan.
@@ -46,19 +53,31 @@ pub struct ScalingPoint {
     pub tripped: bool,
     /// Fastest observed host wall-clock time for the adaptive decision.
     pub wall: Duration,
-    /// Enumerated optimum, where `D^Q` is small enough to brute-force.
+    /// Enumerated optimum, where [`enumerated_optimum`] can brute-force it.
     pub brute: Option<SimDuration>,
 }
 
-/// The sweep grid: full (the acceptance grid, up to Q=64 × D=16) or smoke
-/// (a small prefix for CI).
-pub fn grid(smoke: bool) -> Vec<(usize, usize)> {
+/// The sweep grid as (Q, D, template kinds): full (the acceptance grid, up
+/// to Q=64 × D=16, then the templated arm) or smoke (a small prefix plus one
+/// templated point, for CI).
+pub fn grid(smoke: bool) -> Vec<(usize, usize, Option<usize>)> {
     let (qs, ds): (&[usize], &[usize]) =
         if smoke { (&[4, 8, 16], &[2, 4]) } else { (&[4, 8, 16, 32, 64], &[2, 4, 8, 16]) };
     let mut grid = Vec::new();
     for &q in qs {
         for &d in ds {
-            grid.push((q, d));
+            grid.push((q, d, None));
+        }
+    }
+    if smoke {
+        grid.push((32, 4, Some(2)));
+        return grid;
+    }
+    for k in [2, 3, 4] {
+        for q in [16, 32, 64] {
+            for d in [3, 4] {
+                grid.push((q, d, Some(k)));
+            }
         }
     }
     grid
@@ -90,10 +109,79 @@ pub fn cost_matrix(rng: &mut XorShift, queues: usize, devices: usize) -> mapper:
         .collect()
 }
 
+/// A templated pool: `kinds` template rows drawn by [`cost_matrix`] (so with
+/// its twin columns), and every queue a copy of a random one of them.
+pub fn templated_cost_matrix(
+    rng: &mut XorShift,
+    queues: usize,
+    devices: usize,
+    kinds: usize,
+) -> mapper::CostMatrix {
+    let templates = cost_matrix(rng, kinds, devices);
+    (0..queues).map(|_| templates[rng.index(kinds)].clone()).collect()
+}
+
+/// Optimal makespan by exhaustive enumeration, or `None` when the space is
+/// larger than [`mapper::MAX_ENUMERATION`]. Queues with identical rows are
+/// interchangeable, so only how many of each row group land on each device
+/// matters: the space is the product over groups of
+/// `C(size + D - 1, D - 1)`, which is `D^Q` when every row is distinct.
+pub fn enumerated_optimum(costs: &mapper::CostMatrix, devices: usize) -> Option<SimDuration> {
+    let mut groups: Vec<(&[SimDuration], u64)> = Vec::new();
+    for row in costs {
+        match groups.iter_mut().find(|(r, _)| *r == row.as_slice()) {
+            Some(group) => group.1 += 1,
+            None => groups.push((row, 1)),
+        }
+    }
+    let multisets = |n: u64| (1..devices as u128).fold(1u128, |c, i| c * (n as u128 + i) / i);
+    let space = groups.iter().try_fold(1u128, |acc, &(_, n)| acc.checked_mul(multisets(n)))?;
+    if space > mapper::MAX_ENUMERATION as u128 {
+        return None;
+    }
+    // Depth-first over (group, device): `left` members of the current group
+    // are still to place on devices `d..`.
+    fn place(
+        groups: &[(&[SimDuration], u64)],
+        g: usize,
+        d: usize,
+        left: u64,
+        load: &mut [SimDuration],
+        best: &mut SimDuration,
+    ) {
+        let Some(&(row, _)) = groups.get(g) else {
+            *best = (*best).min(load.iter().copied().max().unwrap_or(SimDuration::ZERO));
+            return;
+        };
+        if d + 1 == load.len() {
+            load[d] += row[d] * left;
+            let next = groups.get(g + 1).map_or(0, |&(_, size)| size);
+            place(groups, g + 1, 0, next, load, best);
+            load[d] -= row[d] * left;
+            return;
+        }
+        for n in 0..=left {
+            load[d] += row[d] * n;
+            place(groups, g, d + 1, left - n, load, best);
+            load[d] -= row[d] * n;
+        }
+    }
+    let mut load = vec![SimDuration::ZERO; devices];
+    let mut best = SimDuration::from_nanos(u64::MAX);
+    let first = groups.first().map_or(0, |&(_, size)| size);
+    place(&groups, 0, 0, first, &mut load, &mut best);
+    Some(best)
+}
+
 /// Measure one grid point.
-pub fn run_point(queues: usize, devices: usize, seed: u64) -> ScalingPoint {
-    let mut rng = XorShift::new(seed ^ ((queues as u64) << 32) ^ devices as u64);
-    let costs = cost_matrix(&mut rng, queues, devices);
+pub fn run_point(queues: usize, devices: usize, kinds: Option<usize>, seed: u64) -> ScalingPoint {
+    let mut rng = XorShift::new(
+        seed ^ ((queues as u64) << 32) ^ devices as u64 ^ ((kinds.unwrap_or(0) as u64) << 16),
+    );
+    let costs = match kinds {
+        Some(k) => templated_cost_matrix(&mut rng, queues, devices, k),
+        None => cost_matrix(&mut rng, queues, devices),
+    };
     let greedy = mapper::greedy(&costs).makespan;
     let refined = mapper::greedy_refined(&costs).makespan;
 
@@ -112,18 +200,12 @@ pub fn run_point(queues: usize, devices: usize, seed: u64) -> ScalingPoint {
     let outcome = outcome.expect("three runs happened");
 
     let space = (devices as u128).checked_pow(queues as u32);
-    let brute = space.filter(|&s| s <= mapper::MAX_ENUMERATION as u128).map(|_| {
-        let mut load = vec![SimDuration::ZERO; devices];
-        mapper::enumerate_assignments(queues, devices)
-            .into_iter()
-            .map(|a| mapper::makespan(&costs, &a, &mut load))
-            .min()
-            .expect("non-empty space")
-    });
+    let brute = enumerated_optimum(&costs, devices);
 
     ScalingPoint {
         queues,
         devices,
+        kinds,
         space,
         greedy,
         refined,
@@ -137,7 +219,7 @@ pub fn run_point(queues: usize, devices: usize, seed: u64) -> ScalingPoint {
 
 /// Run the sweep.
 pub fn run(smoke: bool, seed: u64) -> Vec<ScalingPoint> {
-    grid(smoke).into_iter().map(|(q, d)| run_point(q, d, seed)).collect()
+    grid(smoke).into_iter().map(|(q, d, k)| run_point(q, d, k, seed)).collect()
 }
 
 /// Assert the sweep's quality and decision-cost claims; returns an error
@@ -145,7 +227,10 @@ pub fn run(smoke: bool, seed: u64) -> Vec<ScalingPoint> {
 /// host-time ceiling (use a generous value for unoptimized builds).
 pub fn verify(points: &[ScalingPoint], wall_budget: Duration) -> Result<(), String> {
     for p in points {
-        let at = format!("Q={} D={}", p.queues, p.devices);
+        let at = match p.kinds {
+            Some(k) => format!("Q={} D={} k={k}", p.queues, p.devices),
+            None => format!("Q={} D={}", p.queues, p.devices),
+        };
         if p.refined > p.greedy {
             return Err(format!("{at}: local search worsened greedy"));
         }
@@ -160,8 +245,10 @@ pub fn verify(points: &[ScalingPoint], wall_budget: Duration) -> Result<(), Stri
         }
         if let Some(brute) = p.brute {
             if p.tripped {
-                // Tripping on an enumerable instance would mean the budget
-                // is absurdly small; quality is still ≥ greedy, but flag it.
+                // Tripping on an enumerable instance (for templated rows:
+                // one with few device-count vectors) would mean the budget
+                // is absurdly small or identical rows are branched on per
+                // permutation; quality is still ≥ greedy, but flag it.
                 return Err(format!("{at}: budget tripped on an enumerable instance"));
             }
             if p.adaptive != brute {
@@ -196,6 +283,7 @@ pub fn table(points: &[ScalingPoint]) -> Table {
         &[
             "Q",
             "D",
+            "rows",
             "space",
             "greedy",
             "greedy+LS",
@@ -220,6 +308,7 @@ pub fn table(points: &[ScalingPoint]) -> Table {
         t.row(vec![
             p.queues.to_string(),
             p.devices.to_string(),
+            p.kinds.map_or("random".to_string(), |k| format!("{k} kinds")),
             space,
             format!("{:.3}", p.greedy.as_millis_f64()),
             format!("{:.3}", p.refined.as_millis_f64()),
@@ -269,7 +358,36 @@ mod tests {
         // 16^64 overflows u128 — the acceptance point's exact-search
         // infeasibility is structural, not a tuning accident.
         assert_eq!((16u128).checked_pow(64), None);
-        let (q, d) = *grid(false).last().unwrap();
-        assert_eq!((q, d), (64, 16));
+        let top = grid(false).into_iter().filter(|p| p.2.is_none()).max().unwrap();
+        assert_eq!(top, (64, 16, None));
+    }
+
+    #[test]
+    fn grouped_enumeration_matches_plain_enumeration() {
+        let mut rng = XorShift::new(11);
+        for (q, d, k) in [(6, 3, None), (7, 3, Some(2)), (6, 4, Some(3))] {
+            let costs = match k {
+                Some(k) => templated_cost_matrix(&mut rng, q, d, k),
+                None => cost_matrix(&mut rng, q, d),
+            };
+            let mut load = vec![SimDuration::ZERO; d];
+            let plain = mapper::enumerate_assignments(q, d)
+                .into_iter()
+                .map(|a| mapper::makespan(&costs, &a, &mut load))
+                .min();
+            assert_eq!(enumerated_optimum(&costs, d), plain, "Q={q} D={d} k={k:?}");
+        }
+    }
+
+    #[test]
+    fn verify_catches_a_budget_trip_on_templated_rows() {
+        let mut points = run(true, 3);
+        // The smoke grid's templated point is checked by enumeration, so a
+        // trip there fails the sweep.
+        let templated = points.iter_mut().find(|p| p.kinds.is_some()).unwrap();
+        assert!(templated.brute.is_some());
+        templated.tripped = true;
+        let err = verify(&points, Duration::from_secs(10)).unwrap_err();
+        assert!(err.contains("k=2: budget tripped on an enumerable instance"), "{err}");
     }
 }

@@ -16,12 +16,20 @@
 //!   columns (the paper node's twin GPUs, a serving node's k identical
 //!   accelerators) are interchangeable whenever their current loads tie;
 //!   only the lowest-indexed representative is branched on.
+//! * **Identical-queue symmetry**: queues with identical cost rows (a
+//!   serving pool built from a few job templates) are interchangeable too.
+//!   They sit next to each other in the search order, and each member after
+//!   the first takes a device index no lower than its predecessor's, so
+//!   every multiset of devices for the group is branched on once instead of
+//!   once per permutation. The twin-device skip applies only to a group's
+//!   first member, where it cannot clash with that ordering.
 //! * **Lower-bound pruning**: a branch is cut when even a perfect spread of
 //!   the remaining work (`(assigned + remaining-min) / D`) cannot beat the
 //!   incumbent.
 //! * **Node budget** ([`adaptive`]): exact search runs under an
-//!   explored-node cap; when the cap trips, the incumbent — never worse
-//!   than greedy, by construction — is returned and the trip is reported.
+//!   explored-node cap; when the cap trips, the best assignment found so
+//!   far — never worse than the refined incumbent, so never worse than
+//!   greedy — is returned and the trip is reported.
 //! * **Tie polish**: queues whose whole cost rows are identical can trade
 //!   devices freely without touching either objective; among those tied
 //!   permutations the search returns one that avoids runs of pool-adjacent
@@ -116,9 +124,9 @@ pub struct SearchOutcome {
     pub mapping: Mapping,
     /// Branch-and-bound nodes explored (0 when no exact search ran).
     pub nodes_explored: u64,
-    /// True when the node budget tripped and the incumbent (greedy + local
-    /// search, or the refined warm start) was returned instead of a proven
-    /// optimum.
+    /// True when the node budget tripped and the best assignment found so
+    /// far (never worse than the refined incumbent: greedy + local search,
+    /// or the refined warm start) was returned instead of a proven optimum.
     pub budget_tripped: bool,
 }
 
@@ -251,9 +259,10 @@ pub fn optimal_with(
 
 /// Bounded-effort mapping: exact branch-and-bound under `node_budget`
 /// explored nodes. Under the budget this is [`optimal_with`]; when the
-/// budget trips, the incumbent — greedy refined by local search, or the
-/// refined warm start if better — is returned with `budget_tripped` set.
-/// Either way the result is never worse than [`greedy`].
+/// budget trips, the best assignment found so far — never worse than the
+/// refined incumbent (greedy refined by local search, or the refined warm
+/// start if better) — is returned with `budget_tripped` set. Either way the
+/// result is never worse than [`greedy`].
 pub fn adaptive(
     costs: &CostMatrix,
     warm: Option<&[DeviceId]>,
@@ -289,7 +298,7 @@ fn search(
 
     // --- Incumbent: greedy refined by local search, then the warm start
     // (also refined) if it beats that.
-    greedy_assign(costs, &mut scratch.seed, &mut scratch.load);
+    greedy_assign(costs, &mut scratch.order, &mut scratch.seed, &mut scratch.load);
     let mut best_obj = local_search_in_place(costs, &mut scratch.seed, &mut scratch.load);
     scratch.best.clear();
     scratch.best.extend_from_slice(&scratch.seed);
@@ -308,10 +317,20 @@ fn search(
         }
     }
 
-    // --- Search order: descending best-case cost, big rocks first.
+    // Row-equivalence groups: gid[q] is the lowest queue index whose whole
+    // cost row equals q's.
+    scratch.gid.clear();
+    for q in 0..queues {
+        let rep = (0..q).find(|&p| scratch.gid[p] == p && costs[p] == costs[q]).unwrap_or(q);
+        scratch.gid.push(rep);
+    }
+
+    // --- Search order: descending best-case cost, big rocks first; the
+    // group id keeps identical rows adjacent (and is the queue index itself
+    // when no rows repeat, i.e. the plain stable order).
     scratch.order.clear();
     scratch.order.extend(0..queues);
-    scratch.order.sort_by_key(|&q| std::cmp::Reverse(row_min(&costs[q])));
+    scratch.order.sort_by_key(|&q| (std::cmp::Reverse(row_min(&costs[q])), scratch.gid[q]));
 
     // Suffix sums of minimum costs: rem_min[i] = sum of min costs of the
     // queues at order positions i.. (rem_min[queues] = 0).
@@ -342,6 +361,7 @@ fn search(
         order: &scratch.order,
         rem_min: &scratch.rem_min,
         class: &scratch.class,
+        gid: &scratch.gid,
         load: &mut scratch.load,
         current: &mut scratch.current,
         best: &mut scratch.best,
@@ -378,7 +398,8 @@ fn search(
 ///
 /// In the steady state, per-queue residency differentiates the rows and
 /// every group is a singleton — the polish is a no-op exactly where warm
-/// stability matters.
+/// stability matters. The groups are `scratch.gid`, as [`search`] computed
+/// them for its own ordering.
 fn interleave_ties(costs: &CostMatrix, scratch: &mut MapperScratch) {
     let queues = scratch.best.len();
     if queues < 2 {
@@ -387,11 +408,6 @@ fn interleave_ties(costs: &CostMatrix, scratch: &mut MapperScratch) {
     let devices = costs[0].len();
     if devices < 2 {
         return;
-    }
-    scratch.gid.clear();
-    for q in 0..queues {
-        let rep = (0..q).find(|&p| scratch.gid[p] == p && costs[p] == costs[q]).unwrap_or(q);
-        scratch.gid.push(rep);
     }
     if (0..queues).all(|q| scratch.gid[q] == q) {
         return;
@@ -441,6 +457,7 @@ struct Dfs<'a> {
     order: &'a [usize],
     rem_min: &'a [SimDuration],
     class: &'a [usize],
+    gid: &'a [usize],
     load: &'a mut Vec<SimDuration>,
     current: &'a mut Vec<DeviceId>,
     best: &'a mut Vec<DeviceId>,
@@ -466,14 +483,24 @@ impl Dfs<'_> {
         let q = self.order[depth];
         let devices = self.load.len();
         let rem = self.rem_min[depth + 1];
-        for d in 0..devices {
+        // Identical rows: a group member after the first takes a device no
+        // lower than its predecessor's, so each device multiset is branched
+        // on once rather than once per permutation of the group.
+        let in_group = depth > 0 && self.gid[self.order[depth - 1]] == self.gid[q];
+        let lowest = if in_group { self.current[self.order[depth - 1]].index() } else { 0 };
+        for d in lowest..devices {
             if self.tripped {
                 return;
             }
             // Symmetry: among devices with identical cost columns and equal
             // current load, branching on more than the first is redundant.
+            // Not for a group's later members: swapping twins there could
+            // break the ordering above.
             let rep = self.class[d];
-            if rep < d && (rep..d).any(|e| self.class[e] == rep && self.load[e] == self.load[d]) {
+            if !in_group
+                && rep < d
+                && (rep..d).any(|e| self.class[e] == rep && self.load[e] == self.load[d])
+            {
                 continue;
             }
             let cost = self.costs[q][d];
@@ -516,23 +543,30 @@ pub fn greedy(costs: &CostMatrix) -> Mapping {
     validate(costs);
     let mut assignment = Vec::new();
     let mut load = Vec::new();
-    greedy_assign(costs, &mut assignment, &mut load);
+    greedy_assign(costs, &mut Vec::new(), &mut assignment, &mut load);
     let ms = load.iter().copied().max().unwrap_or(SimDuration::ZERO);
     let total = load.iter().copied().sum();
     Mapping { assignment, makespan: ms, total }
 }
 
-/// Greedy into caller buffers; `load` holds the per-device loads on return.
-fn greedy_assign(costs: &CostMatrix, assignment: &mut Vec<DeviceId>, load: &mut Vec<SimDuration>) {
+/// Greedy into caller buffers (`order` is scratch); `load` holds the
+/// per-device loads on return.
+fn greedy_assign(
+    costs: &CostMatrix,
+    order: &mut Vec<usize>,
+    assignment: &mut Vec<DeviceId>,
+    load: &mut Vec<SimDuration>,
+) {
     let queues = costs.len();
     let devices = costs[0].len();
-    let mut order: Vec<usize> = (0..queues).collect();
+    order.clear();
+    order.extend(0..queues);
     order.sort_by_key(|&q| std::cmp::Reverse(row_min(&costs[q])));
     load.clear();
     load.resize(devices, SimDuration::ZERO);
     assignment.clear();
     assignment.resize(queues, DeviceId(0));
-    for &q in &order {
+    for &q in order.iter() {
         let d = (0..devices).min_by_key(|&d| load[d] + costs[q][d]).expect("at least one device");
         load[d] += costs[q][d];
         assignment[q] = DeviceId(d);
@@ -638,8 +672,9 @@ fn peak_except(load: &[SimDuration], x: usize, y: usize) -> SimDuration {
     peak
 }
 
-/// Greedy refined by [`local_search`] — the heuristic the adaptive mapper
-/// falls back to; by construction never worse than [`greedy`] alone.
+/// Greedy refined by [`local_search`] — the incumbent the adaptive mapper
+/// starts from and never returns worse than; by construction never worse
+/// than [`greedy`] alone.
 pub fn greedy_refined(costs: &CostMatrix) -> Mapping {
     let queues = costs.len();
     if queues == 0 {
@@ -648,7 +683,7 @@ pub fn greedy_refined(costs: &CostMatrix) -> Mapping {
     validate(costs);
     let mut assignment = Vec::new();
     let mut load = Vec::new();
-    greedy_assign(costs, &mut assignment, &mut load);
+    greedy_assign(costs, &mut Vec::new(), &mut assignment, &mut load);
     let (ms, total) = local_search_in_place(costs, &mut assignment, &mut load);
     Mapping { assignment, makespan: ms, total }
 }
@@ -811,6 +846,63 @@ mod tests {
         assert!(out.mapping.makespan <= greedy(&costs).makespan);
         let mut load = vec![SimDuration::ZERO; 6];
         assert_eq!(makespan(&costs, &out.mapping.assignment, &mut load), out.mapping.makespan);
+    }
+
+    #[test]
+    fn tripped_search_keeps_its_best_assignment_so_far() {
+        // A tripped search returns whatever it improved to before the trip,
+        // not the incumbent it started from: never worse than greedy +
+        // local search, and consistent with its own assignment. On this
+        // instance the exact search beats the refined incumbent, so budgets
+        // just short of closing it return strict improvements.
+        let mut state = 2u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let costs: CostMatrix = (0..16)
+            .map(|_| (0..3).map(|_| SimDuration::from_micros(1 + next() % 5_000)).collect())
+            .collect();
+        let refined = greedy_refined(&costs);
+        let refined = (refined.makespan, refined.total);
+        let mut scratch = MapperScratch::new();
+        let exact = optimal_with(&costs, None, &mut scratch);
+        assert!((exact.mapping.makespan, exact.mapping.total) < refined);
+        let mut load = vec![SimDuration::ZERO; 3];
+        for budget in [1, exact.nodes_explored / 2, exact.nodes_explored - 1] {
+            let out = adaptive(&costs, None, budget, &mut scratch);
+            assert!(out.budget_tripped, "budget {budget}");
+            let m = &out.mapping;
+            assert!((m.makespan, m.total) <= refined, "budget {budget}");
+            assert_eq!(makespan(&costs, &m.assignment, &mut load), m.makespan, "budget {budget}");
+            assert_eq!(load.iter().copied().sum::<SimDuration>(), m.total, "budget {budget}");
+        }
+        let late = adaptive(&costs, None, exact.nodes_explored - 1, &mut scratch).mapping;
+        assert!((late.makespan, late.total) < refined, "improvements before the trip are kept");
+    }
+
+    #[test]
+    fn identical_rows_are_branched_on_once_per_device_multiset() {
+        // Twelve identical queues on three distinct devices: the grouped
+        // search closes this in a few hundred nodes where branching on every
+        // queue separately would walk permutations, and it stays exact.
+        let costs: CostMatrix = vec![vec![ms(4), ms(5), ms(6)]; 12];
+        let mut scratch = MapperScratch::new();
+        let out = optimal_with(&costs, None, &mut scratch);
+        assert!(out.nodes_explored < 500, "{} nodes", out.nodes_explored);
+        let grouped = (out.mapping.makespan, out.mapping.total);
+        let mut load = vec![SimDuration::ZERO; 3];
+        let brute = enumerate_assignments(12, 3)
+            .into_iter()
+            .map(|a| {
+                let ms = makespan(&costs, &a, &mut load);
+                (ms, load.iter().copied().sum::<SimDuration>())
+            })
+            .min()
+            .unwrap();
+        assert_eq!(grouped, brute);
     }
 
     #[test]
@@ -1032,7 +1124,7 @@ mod tests {
         assert!(m.makespan < UNAVAILABLE_COST);
 
         let mut g = vec![DeviceId(0); costs.len()];
-        greedy_assign(&costs, &mut g, &mut load);
+        greedy_assign(&costs, &mut Vec::new(), &mut g, &mut load);
         assert!(g.iter().all(|d| d.index() != 0), "greedy chose the dead device: {g:?}");
 
         let a = adaptive(&costs, None, 1, &mut scratch).mapping;

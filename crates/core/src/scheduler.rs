@@ -68,9 +68,10 @@ pub enum MapperKind {
     /// what the optimality guarantee buys.
     Greedy,
     /// Exact search under [`SchedOptions::adaptive_node_budget`] explored
-    /// nodes; past the budget, falls back to the incumbent (greedy refined
-    /// by local search — never worse than greedy). Optimal in the paper's
-    /// small-pool regime, bounded decision cost at serving scale.
+    /// nodes; past the budget, returns the best assignment found so far
+    /// (never worse than greedy refined by local search, so never worse
+    /// than greedy). Optimal in the paper's small-pool regime, bounded
+    /// decision cost at serving scale.
     Adaptive,
 }
 
@@ -113,10 +114,11 @@ pub struct SchedOptions {
     /// deployments opt in.
     pub predictor_persist: bool,
     /// Explored-node budget for [`MapperKind::Adaptive`]: exact search
-    /// gives up and keeps the refined-greedy incumbent after this many
-    /// branch-and-bound nodes. The default (100k nodes, well under a
-    /// millisecond of host time) is far more than the paper's node-scale
-    /// pools ever need, so adaptive == optimal in that regime.
+    /// gives up after this many branch-and-bound nodes and keeps the best
+    /// assignment found so far (never worse than the refined greedy). The
+    /// default (100k nodes, well under a millisecond of host time) is far
+    /// more than the paper's node-scale pools ever need, so adaptive ==
+    /// optimal in that regime.
     pub adaptive_node_budget: u64,
     /// Worker threads for the per-queue cost-vector computation on warm
     /// epochs (every queue served from the profile caches). `0` or `1`

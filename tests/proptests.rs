@@ -138,6 +138,130 @@ fn mapper_warm_start_preserves_the_cold_objective() {
     }
 }
 
+/// A serving-style pool: every queue's row is a copy of one of `kinds`
+/// template rows, so many queues share identical rows. With `twins`, two
+/// random devices (not necessarily adjacent) get identical columns.
+fn templated_costs(
+    rng: &mut XorShift,
+    queues: usize,
+    devices: usize,
+    kinds: usize,
+    twins: bool,
+) -> Vec<Vec<SimDuration>> {
+    let a = rng.index(devices);
+    let b = (a + 1 + rng.index(devices.max(2) - 1)) % devices;
+    let templates: Vec<Vec<SimDuration>> = (0..kinds)
+        .map(|_| {
+            let mut row: Vec<SimDuration> = (0..devices).map(|_| duration(rng)).collect();
+            if twins {
+                row[b] = row[a];
+            }
+            row
+        })
+        .collect();
+    (0..queues).map(|_| templates[rng.index(kinds)].clone()).collect()
+}
+
+/// The lexicographic (makespan, total) optimum by enumeration.
+fn enumerated_objective(costs: &mapper::CostMatrix, devices: usize) -> (SimDuration, SimDuration) {
+    let mut load = vec![SimDuration::ZERO; devices];
+    mapper::enumerate_assignments(costs.len(), devices)
+        .into_iter()
+        .map(|a| {
+            let ms = mapper::makespan(costs, &a, &mut load);
+            (ms, load.iter().copied().sum())
+        })
+        .min()
+        .expect("non-empty space")
+}
+
+/// Queues with identical rows are branched on in one canonical order only;
+/// the pruned search must still reach the enumerated (makespan, total)
+/// optimum — cold or warm, with twin columns and with a blacklisted one.
+#[test]
+fn mapper_identical_rows_keep_the_enumerated_optimum() {
+    let mut scratch = mapper::MapperScratch::new();
+    let mut load = [SimDuration::ZERO; 4];
+    for seed in 0..400u64 {
+        let mut rng = XorShift::new(seed + 1);
+        let queues = rng.range_u64(1, 8) as usize;
+        let devices = rng.range_u64(1, 5) as usize;
+        let kinds = rng.range_u64(1, 4) as usize;
+        let twins = rng.range_u64(0, 2) == 1;
+        let mut costs = templated_costs(&mut rng, queues, devices, kinds, twins);
+        if devices > 1 && rng.range_u64(0, 4) == 0 {
+            let dead = rng.index(devices);
+            for row in &mut costs {
+                row[dead] = mapper::UNAVAILABLE_COST;
+            }
+        }
+        let warm: Option<Vec<DeviceId>> = (rng.range_u64(0, 2) == 1)
+            .then(|| (0..queues).map(|_| DeviceId(rng.index(devices))).collect());
+        let want = enumerated_objective(&costs, devices);
+        for (name, out) in [
+            ("optimal_with", mapper::optimal_with(&costs, warm.as_deref(), &mut scratch)),
+            (
+                "adaptive",
+                mapper::adaptive(
+                    &costs,
+                    warm.as_deref(),
+                    multicl::DEFAULT_ADAPTIVE_NODE_BUDGET,
+                    &mut scratch,
+                ),
+            ),
+        ] {
+            assert!(!out.budget_tripped, "seed {seed}: {name} tripped");
+            assert_eq!(
+                (out.mapping.makespan, out.mapping.total),
+                want,
+                "seed {seed}: {name} missed the optimum ({queues}x{devices}, {kinds} kinds)"
+            );
+            assert_eq!(
+                mapper::makespan(&costs, &out.mapping.assignment, &mut load[..devices]),
+                out.mapping.makespan,
+                "seed {seed}: {name}"
+            );
+        }
+    }
+}
+
+/// Golden regression: on pools whose rows are all distinct the row grouping
+/// must be a no-op. The expected node counts and assignments were recorded
+/// from the search without row grouping, on these fixed seeded pools.
+#[test]
+fn mapper_distinct_rows_search_is_unchanged() {
+    let mut scratch = mapper::MapperScratch::new();
+    // Cold search over an unstructured 12 x 4 pool.
+    let mut rng = XorShift::new(0x5eed_0012);
+    let costs = cost_matrix(&mut rng, 12, 4);
+    // Warm search over a 10 x 4 pool whose devices 2 and 3 are twins.
+    let mut twin_costs = cost_matrix(&mut rng, 10, 4);
+    for row in &mut twin_costs {
+        row[3] = row[2];
+    }
+    let warm: Vec<DeviceId> = (0..10).map(|_| DeviceId(rng.index(4))).collect();
+    for pool in [&costs, &twin_costs] {
+        for (i, row) in pool.iter().enumerate() {
+            assert!(pool[..i].iter().all(|r| r != row), "golden pool has a repeated row");
+        }
+    }
+    let cold = mapper::optimal_with(&costs, None, &mut scratch);
+    let warmed = mapper::optimal_with(&twin_costs, Some(&warm), &mut scratch);
+    let devices = |out: &mapper::SearchOutcome| -> Vec<usize> {
+        out.mapping.assignment.iter().map(|d| d.index()).collect()
+    };
+    assert_eq!(
+        (cold.nodes_explored, devices(&cold)),
+        (148, vec![2, 0, 2, 3, 0, 3, 1, 1, 0, 1, 3, 3]),
+        "cold"
+    );
+    assert_eq!(
+        (warmed.nodes_explored, devices(&warmed)),
+        (28, vec![0, 0, 0, 3, 2, 1, 1, 0, 1, 0]),
+        "warm"
+    );
+}
+
 /// Engine events never run backwards: start ≥ queued, end ≥ start, and
 /// commands on one device never overlap.
 #[test]
